@@ -1,15 +1,12 @@
 """The *real* federated testbed sharded onto the parallel kernel.
 
 Where ``repro.sim.parallel.model`` replays a synthetic approximation of
-the federation, this module builds each site's **full stack** — gNB
-:class:`~repro.net.openflow.OpenFlowSwitch`, EGS host, containerd +
-Docker cluster, client hosts, and the site's own
-:class:`~repro.core.federation.SiteController` — inside its own
-partition, with the backbone switch, :class:`BackboneApp`, cloud host,
-and :class:`~repro.core.federation.SharedStateHub` in a partition of
-their own.  Every component is the same class the monolithic
-:class:`~repro.testbed.federation.FederatedTestbed` runs; only the
-wiring differs:
+the federation, this module runs each site's **full stack** in its own
+partition and the backbone in one more.  Both are built by the same
+:func:`~repro.testbed.federation.build_site` and
+:func:`~repro.testbed.federation.build_backbone` the monolithic
+:class:`~repro.testbed.federation.FederatedTestbed` runs; a partition
+passes them its two seams:
 
 * the trunk :class:`~repro.net.link.Link` between a site switch and
   the backbone becomes a pair of :class:`PortalEndpoint` half-links,
@@ -60,30 +57,13 @@ from functools import partial
 from heapq import heappush
 
 import repro.net.host as _host_mod
-from repro.cluster import DockerCluster
-from repro.containers import Containerd, DockerEngine, Registry
-from repro.containers.registry import PRIVATE_PROFILE, PUBLIC_PROFILE
-from repro.core import (
-    Annotator,
-    ControllerConfig,
-    LowLatencyScheduler,
-    ServiceRegistry,
-    SwitchTopology,
-)
-from repro.core.federation import (
-    RemoteHubHandle,
-    SharedStateHub,
-    SiteController,
-    SiteReplica,
-)
+from repro.core import LowLatencyScheduler
+from repro.core.federation import RemoteHubHandle, SiteReplica
 from repro.core.federation.state import ReplicaLink
+from repro.core.migration import BandwidthLedger
 from repro.metrics import MetricsRecorder
-from repro.net import Host, Link
 from repro.net.addressing import IPv4Address, MACAllocator
-from repro.net.cloud import CloudHost
 from repro.net.packet import HEADER_BYTES
-from repro.net.openflow import OpenFlowSwitch
-from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
 from repro.services import DEFAULT_CALIBRATION, build_catalog
 from repro.services.catalog import template_by_key
 from repro.sim.events import NORMAL
@@ -95,10 +75,13 @@ from repro.sim.parallel.partitioner import (
     TopologySpec,
     channel_id,
 )
+from repro.testbed.c3 import build_registries, open_cloud_app
+from repro.testbed.federation import build_backbone, build_site
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.device import NetworkInterface
     from repro.net.packet import Packet
+    from repro.sim import Environment
     from repro.testbed.federation import FederationConfig
 
 __all__ = [
@@ -106,11 +89,9 @@ __all__ = [
     "PortalEndpoint",
     "ServiceSpec",
     "TestbedReplay",
-    "build_backbone_partition",
     "build_migration_replay",
     "build_replay",
     "build_replay_specs",
-    "build_site_partition",
     "replay_topology",
     "run_replay",
 ]
@@ -118,22 +99,6 @@ __all__ = [
 #: Conn-id range width per partition: disjoint blocks far above any
 #: realistic connection count, so ids never collide across sites.
 _CONN_ID_STRIDE = 1 << 40
-
-
-# -- deterministic addressing (no objects cross the fork boundary) ---------
-
-def egs_ip(site: int) -> IPv4Address:
-    """Site ``site``'s EGS address: ``10.0.<site+1>.1``."""
-    return IPv4Address(0x0A000000 + ((site + 1) << 8) + 1)
-
-
-def client_ip(site: int, client: int) -> IPv4Address:
-    """Client ``client`` at ``site``: ``10.0.<site+1>.<10+client>``."""
-    return IPv4Address(0x0A000000 + ((site + 1) << 8) + 10 + client)
-
-
-def cloud_ip() -> IPv4Address:
-    return IPv4Address.parse("198.51.100.1")
 
 
 def service_ip(index: int) -> IPv4Address:
@@ -443,14 +408,15 @@ def _rebase_conn_ids(partition_index: int) -> None:
     _host_mod._conn_ids = itertools.count(partition_index * _CONN_ID_STRIDE + 1)
 
 
-def build_site_partition(
-    replay: TestbedReplay, site: int
-) -> "SitePartitionModel":
-    return SitePartitionModel(replay, site)
-
-
-def build_backbone_partition(replay: TestbedReplay) -> "BackbonePartitionModel":
-    return BackbonePartitionModel(replay)
+def _remote_replica(
+    env: "Environment", send: _t.Callable[[_t.Any], None], name: str
+) -> SiteReplica:
+    """A site replica whose hub lives in the backbone partition: writes
+    leave through ``send`` (the control channel's portal)."""
+    handle = RemoteHubHandle(send)
+    replica = SiteReplica(env, name, ReplicaLink(env, handle, name))
+    handle.link = replica.link
+    return replica
 
 
 class SitePartitionModel:
@@ -470,182 +436,44 @@ class SitePartitionModel:
         env = self.env = partition.env
         config = self.replay.config
         _rebase_conn_ids(partition.spec.index)
-        calibration = DEFAULT_CALIBRATION
-        macs = MACAllocator()
 
-        # gNB switch with the trunk as a portal half-link.
-        dpid = self.site + 2  # backbone owns dpid 1
-        self.switch = OpenFlowSwitch(env, f"gnb-{self.name}", datapath_id=dpid)
-        self.topology = SwitchTopology()
-        trunk_port, trunk_iface = self.switch.add_port(macs.allocate())
-        self.trunk_iface = trunk_iface
-        PortalEndpoint(
-            partition.portals[channel_id(self.name, BACKBONE)],
-            trunk_iface,
-            config.trunk_bandwidth_bps,
-            config.trunk_latency_s,
+        # The partition's own registries (pull traffic is site-local;
+        # the profiles make it deterministic), recorder and ledger; the
+        # serial executor builds the same per-site set, so planner
+        # admission is byte-identical.
+        self.recorder = MetricsRecorder()
+        self.registries = build_registries(
+            env, DEFAULT_CALIBRATION, config.registry
         )
-        self.topology.set_cloud_port(dpid, trunk_port)
-
-        # Image registries + catalog are per-partition (pull traffic is
-        # site-local; the profiles make it deterministic).
-        images, behaviors = build_catalog(calibration)
-        self.public_registry = public = Registry(env, "docker-hub", PUBLIC_PROFILE)
-        self.private_registry = private = Registry(env, "private-lan", PRIVATE_PROFILE)
-        for image in images.values():
-            public.publish(image)
-            private.publish(image)
-        self.active_registry = active = (
-            private if config.registry == "private" else public
+        trunk = partition.portals[channel_id(self.name, BACKBONE)]
+        control = partition.portals[channel_id(self.name, BACKBONE, "control")]
+        self.stack = stack = build_site(
+            env,
+            config,
+            self.site,
+            registries=self.registries,
+            recorder=self.recorder,
+            ledger=BandwidthLedger(env, config.migration_budget_bps),
+            macs=MACAllocator(),
+            scheduler=LowLatencyScheduler(),
+            calibration=DEFAULT_CALIBRATION,
+            attach_trunk=lambda iface: PortalEndpoint(
+                trunk, iface, config.trunk_bandwidth_bps, config.trunk_latency_s
+            ),
+            connect_state=partial(_remote_replica, env, control.send),
         )
-
-        # EGS with its runtime and Docker cluster.
-        self.egs = Host(env, f"{self.name}-egs", macs.allocate(), egs_ip(self.site))
-        self._wire_host(
-            self.egs,
-            macs,
-            config.egs_link_bandwidth_bps,
-            config.egs_link_latency_s,
-        )
-        containerd = Containerd(env, self.egs)
-        engine = DockerEngine(env, containerd)
-        self.cluster = DockerCluster(
-            env, f"{self.name}-docker", self.egs, engine, active, distance=0
-        )
-
-        self.clients = []
-        for j in range(config.clients_per_site):
-            client = Host(
-                env,
-                f"{self.name}-rpi{j:02d}",
-                macs.allocate(),
-                client_ip(self.site, j),
-            )
-            self._wire_host(
-                client,
-                macs,
-                config.client_link_bandwidth_bps,
-                config.client_link_latency_s,
-            )
-            self.clients.append(client)
-
-        # Remote hosts are reachable through the trunk.
-        for other in range(config.n_sites):
-            if other == self.site:
-                continue
-            self.topology.register_host(dpid, egs_ip(other), trunk_port)
-            for j in range(config.clients_per_site):
-                self.topology.register_host(
-                    dpid, client_ip(other, j), trunk_port
-                )
-
-        # Shared state over the control channel: replica -> remote hub.
-        handle = RemoteHubHandle(
-            partition.portals[
-                channel_id(self.name, BACKBONE, "control")
-            ].send
-        )
-        self.replica = SiteReplica(
-            env, self.name, ReplicaLink(env, handle, self.name)
-        )
-        handle.link = self.replica.link
+        self.switch, self.controller = stack.switch, stack.controller
         partition.on_message(
             channel_id(BACKBONE, self.name, "control"),
-            self.replica.apply_remote,
+            stack.replica.apply_remote,
         )
         partition.on_message(
             channel_id(BACKBONE, self.name), self._packet_from_backbone
         )
 
-        self.recorder = MetricsRecorder()
-        registry = ServiceRegistry(
-            Annotator(images, behaviors), state=self.replica
-        )
-        controller_config = dataclasses.replace(
-            ControllerConfig.from_calibration(calibration),
-            auto_scale_down=config.auto_scale_down,
-        )
-        self.controller = SiteController(
-            env,
-            registry,
-            [self.cluster],
-            LowLatencyScheduler(),
-            self.topology,
-            self.replica,
-            config=controller_config,
-            calibration=calibration,
-            recorder=self.recorder,
-            remote_distance_penalty=config.remote_distance_penalty,
-        )
-        self.controller.attach(
-            self.switch, latency_s=config.control_channel_latency_s
-        )
-
-        # Live migration: daemon + manager on every site, identically
-        # under both executors.  The ledger is partition-private; the
-        # serial executor builds the same per-site ledgers, so planner
-        # admission is byte-identical.
-        from repro.core.migration import BandwidthLedger, MigrationManager
-
-        clients_by_ip = {client.ip: client for client in self.clients}
-
-        def _conntrack(ip, dst_ip, dst_port):
-            host = clients_by_ip.get(ip)
-            return host.tracked_ports(dst_ip, dst_port) if host else ()
-
-        self.controller.conntrack = _conntrack
-        self.ledger = BandwidthLedger(
-            env,
-            default_capacity_bps=int(
-                config.trunk_bandwidth_bps
-                * getattr(config, "migration_budget_fraction", 0.4)
-            ),
-        )
-        self.manager = MigrationManager(
-            env,
-            self.name,
-            self.controller,
-            self.cluster,
-            self.egs,
-            {f"site{i}": egs_ip(i) for i in range(config.n_sites)},
-            self.ledger,
-        )
-        # Operational surface: same per-site wiring as the monolithic
-        # testbed.  Listeners and scheduled ticks are created *here*
-        # (post-fork) — Host pickling strips listeners, so the port
-        # must open inside the worker.  Both executors run this same
-        # setup, so serial/parallel parity is preserved with the ops
-        # surface on.  ``getattr``: a replay plan pickled by an older
-        # tree lacks the ops knobs.
-        self.collector: FlowStatsCollector | None = None
-        if getattr(config, "flow_stats_period_s", None) is not None:
-            self.collector = FlowStatsCollector(
-                env,
-                self.name,
-                self.switch,
-                {f"trunk:{self.name}": trunk_iface.endpoint.link},
-                state=self.replica,
-                period_s=config.flow_stats_period_s,
-                recorder=self.recorder,
-            ).start()
-        self.ops = OpsReadModel(
-            env,
-            self.controller,
-            site=self.name,
-            switches=(self.switch,),
-            manager=self.manager,
-            collector=self.collector,
-        )
-        self.ops_app: OpsApp | None = None
-        if getattr(config, "ops_api", True):
-            self.ops_app = OpsApp(self.ops)
-            self.egs.open_port(OPS_PORT, self.ops_app)
-
         for mig in self.replay.migrations:
             if mig.to_site == self.site:
                 env.call_at(mig.at_s, self._start_migration, mig)
-
-        # Schedule this site's service registrations and requests.
         for spec in self.replay.services:
             if spec.origin_site == self.site:
                 env.call_at(spec.register_at_s, self._register_service, spec)
@@ -653,9 +481,8 @@ class SitePartitionModel:
             self.replay.requests_by_site[self.site]
         ):
             env.call_at(at, self._start_request, client_idx, service_idx, req_id)
-
-        # Fault wiring: the plan crossed the fork boundary as plain
-        # data; arm it against this site's components only.
+        # The fault plan crossed the fork boundary as plain data; arm
+        # it against this site's components only.
         faults = self.replay.faults_by_site
         if faults and faults[self.site] is not None:
             from repro.faults import Injector
@@ -664,21 +491,8 @@ class SitePartitionModel:
                 _SiteFaultView(self), faults[self.site]
             ).arm()
 
-    # -- wiring helpers ---------------------------------------------------
-
-    def _wire_host(
-        self,
-        host: Host,
-        macs: MACAllocator,
-        bandwidth_bps: float,
-        latency_s: float,
-    ) -> None:
-        port_no, iface = self.switch.add_port(macs.allocate())
-        Link(self.env, host.iface, iface, bandwidth_bps, latency_s)
-        self.topology.register_host(self.switch.datapath_id, host.ip, port_no)
-
     def _packet_from_backbone(self, packet: "Packet") -> None:
-        self.switch.receive(packet, self.trunk_iface)
+        self.switch.receive(packet, self.stack.trunk_iface)
 
     # -- workload ---------------------------------------------------------
 
@@ -705,14 +519,14 @@ class SitePartitionModel:
             # Registration never replicated in (e.g. faulted replay):
             # identical no-op under both executors.
             return
-        self.manager.request_migration(
+        self.stack.manager.request_migration(
             service.name, f"site{spec.from_site}", mode=spec.mode
         )
 
     def _run_request(self, client_idx: int, service_idx: int, req_id: int):
         template = template_by_key(self.replay.services[service_idx].key)
         try:
-            result = yield from self.clients[client_idx].http_request(
+            result = yield from self.stack.clients[client_idx].http_request(
                 service_ip(service_idx),
                 80,
                 template.request,
@@ -732,8 +546,9 @@ class SitePartitionModel:
     # -- results ----------------------------------------------------------
 
     def result(self) -> dict[str, _t.Any]:
+        outcomes = self.stack.manager.outcomes
         migration_digest = hashlib.md5()
-        for o in self.manager.outcomes:
+        for o in outcomes:
             migration_digest.update(
                 f"{o.service_name}:{o.from_site}->{o.to_site}:{o.mode}:"
                 f"{o.rounds}:{o.bytes_moved}:{int(o.completed)}:"
@@ -746,12 +561,8 @@ class SitePartitionModel:
             "failed": self.failed,
             "latency_md5": self._digest.hexdigest(),
             "migration_md5": migration_digest.hexdigest(),
-            "migrations_completed": sum(
-                1 for o in self.manager.outcomes if o.completed
-            ),
-            "migrations_aborted": sum(
-                1 for o in self.manager.outcomes if not o.completed
-            ),
+            "migrations_completed": sum(1 for o in outcomes if o.completed),
+            "migrations_aborted": sum(1 for o in outcomes if not o.completed),
             "peak_flow_table": int(self.switch.table.peak_size),
             "switch_stats": dict(self.switch.stats),
         }
@@ -766,15 +577,16 @@ class _SiteFaultView:
     """
 
     def __init__(self, model: SitePartitionModel) -> None:
+        stack = model.stack
         self.env = model.env
-        self.egs = model.egs
-        self.clients = model.clients
-        self.clusters = [model.cluster]
-        self.switches = {model.switch.datapath_id: model.switch}
-        self.public_registry = model.public_registry
-        self.private_registry = model.private_registry
-        self.active_registry = model.active_registry
-        self.controllers = [model.controller]
+        self.egs = stack.egs
+        self.clients = stack.clients
+        self.clusters = [stack.cluster]
+        self.switches = {stack.switch.datapath_id: stack.switch}
+        self.public_registry = model.registries.public_registry
+        self.private_registry = model.registries.private_registry
+        self.active_registry = model.registries.active_registry
+        self.controllers = [stack.controller]
         self.recorder = model.recorder
 
 
@@ -785,47 +597,21 @@ class BackbonePartitionModel:
         self.replay = replay
 
     def setup(self, partition: Partition) -> None:
-        # Deferred import: repro.testbed imports this module's
-        # siblings; importing it lazily keeps the package acyclic.
-        from repro.testbed.federation import BackboneApp
-
         self.partition = partition
         env = self.env = partition.env
         config = self.replay.config
         _rebase_conn_ids(partition.spec.index)
-        macs = MACAllocator()
 
-        self.switch = OpenFlowSwitch(env, "backbone", datapath_id=1)
-        self.topology = SwitchTopology()
-        self.app = BackboneApp(env, self.topology)
-        self.cloud = CloudHost(env, "cloud", macs.allocate(), cloud_ip())
-        cloud_port, cloud_iface = self.switch.add_port(macs.allocate())
-        Link(
-            env,
-            self.cloud.iface,
-            cloud_iface,
-            config.cloud_link_bandwidth_bps,
-            config.cloud_link_latency_s,
-        )
-        self.topology.set_cloud_port(1, cloud_port)
-
-        # One portal half-link per site trunk; every host of a site is
-        # reachable through that site's port.
-        self.hub = SharedStateHub(
-            env, propagation_delay_s=config.propagation_delay_s
-        )
-        for site in range(config.n_sites):
+        backbone = build_backbone(env, config, MACAllocator())
+        self.switch, self.hub = backbone.switch, backbone.hub
+        for site, (_, iface) in enumerate(backbone.ports):
             name = f"site{site}"
-            port_no, iface = self.switch.add_port(macs.allocate())
             PortalEndpoint(
                 partition.portals[channel_id(BACKBONE, name)],
                 iface,
                 config.trunk_bandwidth_bps,
                 config.trunk_latency_s,
             )
-            self.topology.register_host(1, egs_ip(site), port_no)
-            for j in range(config.clients_per_site):
-                self.topology.register_host(1, client_ip(site, j), port_no)
             partition.on_message(
                 channel_id(name, BACKBONE),
                 partial(self._packet_from_site, iface),
@@ -842,22 +628,19 @@ class BackbonePartitionModel:
                 partial(self.hub.deliver, name),
             )
 
-        self.app.attach(
-            self.switch, latency_s=config.control_channel_latency_s
-        )
-
         # Cloud side of every service is up from t=0 (the monolithic
         # testbed opens it at registration; opening early only means
         # the cloud answers requests that could not yet arrive).
         _images, behaviors = build_catalog(DEFAULT_CALIBRATION)
         for spec in self.replay.services:
-            template = template_by_key(spec.key)
-            behavior = behaviors.get(template.images[0].reference)
-            factory = behavior.app_factory()
-            if factory is not None:
-                self.cloud.open_service(
-                    service_ip(spec.index), 80, factory(env)
-                )
+            open_cloud_app(
+                env,
+                backbone.cloud,
+                behaviors,
+                template_by_key(spec.key),
+                service_ip(spec.index),
+                80,
+            )
 
     def _packet_from_site(
         self, iface: "NetworkInterface", packet: "Packet"
@@ -886,13 +669,13 @@ def replay_topology(replay: TestbedReplay) -> TopologySpec:
     kind-suffixed channel pairs cost no extra null messages.
     """
     config = replay.config
-    nodes = [NodeSpec(BACKBONE, build_backbone_partition, {"replay": replay})]
+    nodes = [NodeSpec(BACKBONE, BackbonePartitionModel, {"replay": replay})]
     links = []
     for site in range(config.n_sites):
         name = f"site{site}"
         nodes.append(
             NodeSpec(
-                name, build_site_partition, {"replay": replay, "site": site}
+                name, SitePartitionModel, {"replay": replay, "site": site}
             )
         )
         links.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing as _t
+from functools import partial
 
 from repro.cluster import DockerCluster, EdgeCluster, K8sEdgeCluster
 from repro.containers import Containerd, DockerEngine, Registry
@@ -36,8 +37,73 @@ from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
 from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
 from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate, build_catalog
+from repro.services.behavior import BehaviorRegistry
 from repro.services.catalog import template_by_key
 from repro.sim import Environment
+
+if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.containers.image import ImageSpec
+
+
+class Registries(_t.NamedTuple):
+    """Both image registries, each with the service catalog published."""
+
+    public_registry: Registry
+    private_registry: Registry
+    #: The registry edge clusters pull from.
+    active_registry: Registry
+    images: dict[str, "ImageSpec"]
+    behaviors: BehaviorRegistry
+
+
+def build_registries(
+    env: Environment, calibration: Calibration, registry: str
+) -> Registries:
+    """The public (Docker Hub/GCR) and the LAN private registry, both
+    serving the whole catalog; ``registry`` picks the active one."""
+    public = Registry(env, "docker-hub", PUBLIC_PROFILE)
+    private = Registry(env, "private-lan", PRIVATE_PROFILE)
+    images, behaviors = build_catalog(calibration)
+    for image in images.values():
+        public.publish(image)
+        private.publish(image)
+    active = private if registry == "private" else public
+    return Registries(public, private, active, images, behaviors)
+
+
+def open_cloud_app(
+    env: Environment,
+    cloud: CloudHost,
+    behaviors: BehaviorRegistry,
+    template: ServiceTemplate,
+    ip: IPv4Address,
+    port: int,
+) -> None:
+    """Serve ``template`` from the cloud at ``ip:port`` (the *perceived
+    cloud* of fig. 1 really answers), if it has a cloud app."""
+    factory = behaviors.get(template.images[0].reference).app_factory()
+    if factory is not None:
+        cloud.open_service(ip, port, factory(env))
+
+
+def client_conntrack(
+    clients: list[Host],
+) -> _t.Callable[[IPv4Address, IPv4Address, int], _t.Iterable[int]]:
+    """The gNB's connection-tracking view (drain installation): which
+    source ports of a client have live (or half-open) conversations
+    with a service address.  Stood in for by the client hosts' own
+    socket tables; ``clients`` is read at call time, so clients added
+    or handed over later are tracked where they are attached now."""
+
+    def conntrack(
+        client_ip: IPv4Address, dst_ip: IPv4Address, dst_port: int
+    ) -> _t.Iterable[int]:
+        for client in clients:
+            if client.ip == client_ip:
+                return client.tracked_ports(dst_ip, dst_port)
+        return ()
+
+    return conntrack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,7 +151,91 @@ class TestbedConfig:
             raise ValueError("flow_stats_period_s must be positive")
 
 
-class C3Testbed:
+class BaseTestbed:
+    """Driving a built testbed from outside the simulation.
+
+    Subclasses provide ``env``, ``cloud``, ``behaviors`` and the
+    ``_service_ips`` allocator perceived-cloud addresses come from.
+    """
+
+    env: Environment
+    cloud: CloudHost
+    behaviors: BehaviorRegistry
+    _service_ips: IPAllocator
+
+    def settle(self, duration_s: float = 0.01) -> None:
+        """Advance simulated time so in-flight control-plane messages
+        (flow-mods, watch events) land before the next measurement."""
+        self.env.run(until=self.env.now + duration_s)
+
+    def _register_catalog(
+        self,
+        controller: EdgeController,
+        template: ServiceTemplate,
+        cloud_ip: IPv4Address | None,
+        port: int,
+    ) -> EdgeService:
+        """Register one catalog service with ``controller`` and serve it
+        from the cloud.  Does not :meth:`settle`."""
+        ip = cloud_ip if cloud_ip is not None else self._service_ips.allocate()
+        service = controller.register_service(
+            template.definition_yaml, ip, port, template_key=template.key
+        )
+        open_cloud_app(self.env, self.cloud, self.behaviors, template, ip, port)
+        return service
+
+    def _register_template_key(
+        self, controller: EdgeController, key: str
+    ) -> EdgeService:
+        """``POST /services`` hook: register a catalog template.
+
+        Runs *inside* the simulation (from the ops API handler), so it
+        must not :meth:`settle` — the interception flow-mod simply
+        lands one control-channel hop after the response."""
+        return self._register_catalog(controller, template_by_key(key), None, 80)
+
+    # -- driving requests ------------------------------------------------------------------
+
+    def http_request(
+        self,
+        client: Host,
+        service: EdgeService,
+        request=None,
+        timeout: float | None = 120.0,
+    ):
+        """One measured request (generator returning HTTPResult)."""
+        template_request = request
+        if template_request is None:
+            from repro.net.packet import HTTPRequest
+
+            template_request = HTTPRequest("GET", "/", body_bytes=0)
+        result = yield from client.http_request(
+            service.cloud_ip, service.port, template_request, timeout=timeout
+        )
+        return result
+
+    def run_request(self, client: Host, service: EdgeService, request=None, timeout=120.0):
+        """Drive one request to completion from outside the simulation."""
+        proc = self.env.process(
+            self.http_request(client, service, request, timeout)
+        )
+        return self.env.run(until=proc)
+
+    # -- deployment-state helpers for experiments ----------------------------------------------
+
+    def prepare_pulled(self, cluster: EdgeCluster, service: EdgeService) -> None:
+        """Synchronously pre-pull a service's images onto a cluster."""
+        proc = self.env.process(cluster.pull(service.plan))
+        self.env.run(until=proc)
+
+    def prepare_created(self, cluster: EdgeCluster, service: EdgeService) -> None:
+        """Pre-pull and pre-create (so only Scale Up remains)."""
+        self.prepare_pulled(cluster, service)
+        proc = self.env.process(cluster.create(service.plan))
+        self.env.run(until=proc)
+
+
+class C3Testbed(BaseTestbed):
     """A fully wired simulation of the evaluation setup."""
 
     def __init__(
@@ -151,17 +301,13 @@ class C3Testbed:
         self.topology.set_cloud_port(self.switch.datapath_id, cloud_port)
 
         # -- registries + catalog ------------------------------------------------
-        self.public_registry = Registry(self.env, "docker-hub", PUBLIC_PROFILE)
-        self.private_registry = Registry(self.env, "private-lan", PRIVATE_PROFILE)
-        self.images, self.behaviors = build_catalog(calibration)
-        for image in self.images.values():
-            self.public_registry.publish(image)
-            self.private_registry.publish(image)
-        self.active_registry = (
-            self.private_registry
-            if self.config.registry == "private"
-            else self.public_registry
-        )
+        (
+            self.public_registry,
+            self.private_registry,
+            self.active_registry,
+            self.images,
+            self.behaviors,
+        ) = build_registries(self.env, calibration, self.config.registry)
 
         # -- shared container runtime on the EGS -------------------------------------
         self.containerd = Containerd(self.env, self.egs)
@@ -227,16 +373,7 @@ class C3Testbed:
         self.datapath = self.controller.attach(
             self.switch, latency_s=self.config.control_channel_latency_s
         )
-
-        def _conntrack(client_ip, dst_ip, dst_port):
-            # The gNB's connection-tracking view (drain installation):
-            # stood in for by the client host's own socket table.
-            for client in self.clients:
-                if client.ip == client_ip:
-                    return client.tracked_ports(dst_ip, dst_port)
-            return ()
-
-        self.controller.conntrack = _conntrack
+        self.controller.conntrack = client_conntrack(self.clients)
 
         # -- operational surface (repro.ops) ---------------------------------
         self.collector: FlowStatsCollector | None = None
@@ -261,19 +398,16 @@ class C3Testbed:
         )
         self.ops_app: OpsApp | None = None
         if self.config.ops_api:
-            self.ops_app = OpsApp(self.ops, register=self._register_template_key)
+            self.ops_app = OpsApp(
+                self.ops,
+                register=partial(self._register_template_key, self.controller),
+            )
             self.egs.open_port(OPS_PORT, self.ops_app)
 
-        self._cloud_apps: dict[str, _t.Any] = {}
         # Let the controller finish installing the infrastructure rules
         # (default route, per-host forwarding) before any traffic flows;
         # each flow-mod pays a control-channel hop.
         self.settle(0.05)
-
-    def settle(self, duration_s: float = 0.01) -> None:
-        """Advance simulated time so in-flight control-plane messages
-        (flow-mods, watch events) land before the next measurement."""
-        self.env.run(until=self.env.now + duration_s)
 
     # -- wiring helpers ---------------------------------------------------------
 
@@ -441,37 +575,11 @@ class C3Testbed:
     ) -> EdgeService:
         """Register one catalog service; also serve it from the cloud
         (the *perceived cloud* of fig. 1 really answers)."""
-        service = self._register_catalog(template, cloud_ip, port)
+        service = self._register_catalog(self.controller, template, cloud_ip, port)
         # The interception rule must be live before the first request
         # arrives (registration happens well before use in practice).
         self.settle(0.005)
         return service
-
-    def _register_catalog(
-        self,
-        template: ServiceTemplate,
-        cloud_ip: IPv4Address | None = None,
-        port: int = 80,
-    ) -> EdgeService:
-        ip = cloud_ip if cloud_ip is not None else self._service_ips.allocate()
-        service = self.controller.register_service(
-            template.definition_yaml, ip, port, template_key=template.key
-        )
-        behavior = self.behaviors.get(template.images[0].reference)
-        factory = behavior.app_factory()
-        if factory is not None:
-            app = factory(self.env)
-            self.cloud.open_service(ip, port, app)
-            self._cloud_apps[service.name] = app
-        return service
-
-    def _register_template_key(self, key: str) -> EdgeService:
-        """``POST /services`` hook: register a catalog template.
-
-        Runs *inside* the simulation (from the ops API handler), so it
-        must not :meth:`settle` — the interception flow-mod simply
-        lands one control-channel hop after the response."""
-        return self._register_catalog(template_by_key(key))
 
     def register_yaml_file(
         self,
@@ -492,43 +600,3 @@ class C3Testbed:
         )
         self.settle(0.005)
         return service
-
-    # -- driving requests ------------------------------------------------------------------
-
-    def http_request(
-        self,
-        client: Host,
-        service: EdgeService,
-        request=None,
-        timeout: float | None = 120.0,
-    ):
-        """One measured request (generator returning HTTPResult)."""
-        template_request = request
-        if template_request is None:
-            from repro.net.packet import HTTPRequest
-
-            template_request = HTTPRequest("GET", "/", body_bytes=0)
-        result = yield from client.http_request(
-            service.cloud_ip, service.port, template_request, timeout=timeout
-        )
-        return result
-
-    def run_request(self, client: Host, service: EdgeService, request=None, timeout=120.0):
-        """Drive one request to completion from outside the simulation."""
-        proc = self.env.process(
-            self.http_request(client, service, request, timeout)
-        )
-        return self.env.run(until=proc)
-
-    # -- deployment-state helpers for experiments ----------------------------------------------
-
-    def prepare_pulled(self, cluster: EdgeCluster, service: EdgeService) -> None:
-        """Synchronously pre-pull a service's images onto a cluster."""
-        proc = self.env.process(cluster.pull(service.plan))
-        self.env.run(until=proc)
-
-    def prepare_created(self, cluster: EdgeCluster, service: EdgeService) -> None:
-        """Pre-pull and pre-create (so only Scale Up remains)."""
-        self.prepare_pulled(cluster, service)
-        proc = self.env.process(cluster.create(service.plan))
-        self.env.run(until=proc)

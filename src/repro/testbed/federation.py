@@ -19,28 +19,36 @@ The backbone runs a static forwarding app (no interception): per-host
 routes plus a default route to the cloud.  All service interception
 and redirection happens at the site switches, each owned exclusively
 by its site controller.
+
+:func:`build_site` and :func:`build_backbone` are the one place a site
+stack and the backbone are wired.  :class:`FederatedTestbed` runs them
+in one environment; the sharded kernel
+(:mod:`repro.sim.parallel.testbed`) runs each in its own partition.
+The two differ only in the callbacks they hand :func:`build_site`: how
+the gNB's trunk port reaches the backbone (a real :class:`Link`, or a
+portal half-link) and how the site's replica reaches the hub
+(:meth:`SharedStateHub.connect`, or a remote-hub handle).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing as _t
+from functools import partial
 
 from repro.cluster import DockerCluster, EdgeCluster
-from repro.containers import Containerd, DockerEngine, Registry
-from repro.containers.registry import PRIVATE_PROFILE, PUBLIC_PROFILE
+from repro.containers import Containerd, DockerEngine
 from repro.core import (
     Annotator,
     ControllerConfig,
     GlobalScheduler,
     LowLatencyScheduler,
-    ServiceRegistry,
     SwitchTopology,
 )
 from repro.core.controller import PRIORITY_DEFAULT, PRIORITY_INFRA
 from repro.core.federation import SharedStateHub, SiteController, SiteReplica
 from repro.core.migration import BandwidthLedger, MigrationManager, MigrationOutcome
-from repro.core.service_registry import EdgeService
+from repro.core.service_registry import EdgeService, ServiceRegistry
 from repro.metrics import MetricsRecorder
 from repro.net import Host, Link
 from repro.net.addressing import IPAllocator, IPv4Address, MACAllocator
@@ -49,11 +57,17 @@ from repro.net.link import GBPS
 from repro.net.openflow import FlowMatch, OpenFlowSwitch, Output
 from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
 from repro.sdnfw import Datapath, SDNApp
-from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate, build_catalog
-from repro.services.catalog import template_by_key
+from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate
 from repro.sim import Environment
+from repro.testbed.c3 import (
+    BaseTestbed,
+    Registries,
+    build_registries,
+    client_conntrack,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.device import NetworkInterface
     from repro.sim.parallel.model import EdgeWorkload
     from repro.sim.parallel.partitioner import TopologySpec
     from repro.sim.parallel.testbed import TestbedReplay
@@ -65,6 +79,22 @@ SHARED_STATE = "shared-state"
 #: Name under which a site's trunk (gNB <-> backbone) link appears in
 #: ``named_links`` (pair it with the site name to partition it).
 BACKBONE = "backbone"
+
+
+# -- deterministic addressing (no objects cross the fork boundary) ---------
+
+def egs_ip(site: int) -> IPv4Address:
+    """Site ``site``'s EGS address: ``10.0.<site+1>.1``."""
+    return IPv4Address(0x0A000000 + ((site + 1) << 8) + 1)
+
+
+def client_ip(site: int, client: int) -> IPv4Address:
+    """Client ``client`` at ``site``: ``10.0.<site+1>.<10+client>``."""
+    return IPv4Address(0x0A000000 + ((site + 1) << 8) + 10 + client)
+
+
+def cloud_ip() -> IPv4Address:
+    return IPv4Address.parse("198.51.100.1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +137,13 @@ class FederationConfig:
             raise ValueError("need at least one site")
         if self.clients_per_site < 1:
             raise ValueError("need at least one client per site")
+        if self.clients_per_site > 245:
+            # client_ip(site, j) = 10.0.<site+1>.<10+j>: past .254 the
+            # addresses run into the next site's EGS and clients.
+            raise ValueError(
+                "clients_per_site must be at most 245 (addresses "
+                f"10.0.<site+1>.10-254), got {self.clients_per_site}"
+            )
         if self.registry not in ("public", "private"):
             raise ValueError(f"unknown registry {self.registry!r}")
         if self.flow_stats_period_s is not None and self.flow_stats_period_s <= 0:
@@ -134,6 +171,11 @@ class FederationConfig:
         per-kind derivation the adaptive round engine exploits.
         """
         return self.propagation_delay_s
+
+    @property
+    def migration_budget_bps(self) -> int:
+        """Trunk bandwidth the migration planner may commit."""
+        return int(self.trunk_bandwidth_bps * self.migration_budget_fraction)
 
     def partition_plan(
         self,
@@ -249,32 +291,219 @@ class BackboneApp(SDNApp):
 
 
 @dataclasses.dataclass
+class Backbone:
+    """The backbone switch with its static app, the cloud behind it,
+    and the shared-state hub."""
+
+    switch: OpenFlowSwitch
+    topology: SwitchTopology
+    app: BackboneApp
+    cloud: CloudHost
+    hub: SharedStateHub
+    #: Per site index: the backbone port and interface toward that
+    #: site's trunk, left for the caller to attach.
+    ports: list[tuple[int, "NetworkInterface"]]
+
+
+def _site_hosts(config: FederationConfig, site: int) -> list[IPv4Address]:
+    """Every home address at ``site``: its EGS, then its clients."""
+    return [egs_ip(site)] + [
+        client_ip(site, j) for j in range(config.clients_per_site)
+    ]
+
+
+def build_backbone(
+    env: Environment, config: FederationConfig, macs: MACAllocator
+) -> Backbone:
+    """Build the backbone switch, its app, the cloud and the hub.
+
+    Every host of a site is routed through that site's backbone port;
+    the ports come back unattached in :attr:`Backbone.ports`.
+    """
+    switch = OpenFlowSwitch(env, "backbone", datapath_id=1)
+    topology = SwitchTopology()
+    app = BackboneApp(env, topology)
+    cloud = CloudHost(env, "cloud", macs.allocate(), cloud_ip())
+    cloud_port, cloud_iface = switch.add_port(macs.allocate())
+    Link(
+        env,
+        cloud.iface,
+        cloud_iface,
+        config.cloud_link_bandwidth_bps,
+        config.cloud_link_latency_s,
+    )
+    topology.set_cloud_port(1, cloud_port)
+    hub = SharedStateHub(env, propagation_delay_s=config.propagation_delay_s)
+    ports = []
+    for site in range(config.n_sites):
+        port_no, iface = switch.add_port(macs.allocate())
+        for ip in _site_hosts(config, site):
+            topology.register_host(1, ip, port_no)
+        ports.append((port_no, iface))
+    app.attach(switch, latency_s=config.control_channel_latency_s)
+    return Backbone(switch, topology, app, cloud, hub, ports)
+
+
+@dataclasses.dataclass
 class Site:
     """Everything one radio site owns."""
 
     name: str
+    index: int
     switch: OpenFlowSwitch
     egs: Host
     cluster: DockerCluster
     clients: list[Host]
     topology: SwitchTopology
-    registry: ServiceRegistry
     replica: SiteReplica
     controller: SiteController
-    #: Port on the site switch toward the backbone.
+    #: Port (and its interface) on the site switch toward the backbone.
     trunk_port: int
-    #: Port on the backbone toward this site.
-    backbone_port: int
-    #: Live-migration endpoint (wired after all sites exist).
-    manager: "MigrationManager | None" = None
-    #: Operational surface (wired after all sites exist).
-    collector: "FlowStatsCollector | None" = None
-    ops: "OpsReadModel | None" = None
-    ops_app: "OpsApp | None" = None
+    trunk_iface: "NetworkInterface"
+    manager: MigrationManager
+    collector: FlowStatsCollector | None
+    ops: OpsReadModel
+    ops_app: OpsApp | None
 
 
-class FederatedTestbed:
-    """*n* sites, *n* controllers, one shared state, one backbone."""
+def build_site(
+    env: Environment,
+    config: FederationConfig,
+    index: int,
+    *,
+    registries: Registries,
+    recorder: MetricsRecorder,
+    ledger: BandwidthLedger,
+    macs: MACAllocator,
+    scheduler: GlobalScheduler,
+    calibration: Calibration,
+    attach_trunk: _t.Callable[["NetworkInterface"], object],
+    connect_state: _t.Callable[[str], SiteReplica],
+) -> Site:
+    """Build site ``index``'s stack and attach its controller.
+
+    The gNB switch, the EGS with containerd and its Docker cluster, the
+    clients, the :class:`SiteController` (with the conntrack view), the
+    :class:`MigrationManager`, the flow-stats collector and the ops
+    surface.  Every other site's hosts are routed through the trunk.
+    ``attach_trunk`` connects the gNB's trunk interface to the
+    backbone; ``connect_state`` returns the site's replica of the
+    shared state.  Registries, recorder and ledger belong to the
+    caller, which may share them across sites.
+    """
+    name = f"site{index}"
+    dpid = index + 2  # backbone owns dpid 1
+    switch = OpenFlowSwitch(env, f"gnb-{name}", datapath_id=dpid)
+    topology = SwitchTopology()
+    trunk_port, trunk_iface = switch.add_port(macs.allocate())
+    attach_trunk(trunk_iface)
+    topology.set_cloud_port(dpid, trunk_port)
+
+    def wire(host: Host, bandwidth_bps: float, latency_s: float) -> Host:
+        port_no, iface = switch.add_port(macs.allocate())
+        Link(env, host.iface, iface, bandwidth_bps, latency_s)
+        topology.register_host(dpid, host.ip, port_no)
+        return host
+
+    egs = wire(
+        Host(env, f"{name}-egs", macs.allocate(), egs_ip(index)),
+        config.egs_link_bandwidth_bps,
+        config.egs_link_latency_s,
+    )
+    engine = DockerEngine(env, Containerd(env, egs))
+    cluster = DockerCluster(
+        env, f"{name}-docker", egs, engine, registries.active_registry, distance=0
+    )
+    clients = [
+        wire(
+            Host(env, f"{name}-rpi{j:02d}", macs.allocate(), client_ip(index, j)),
+            config.client_link_bandwidth_bps,
+            config.client_link_latency_s,
+        )
+        for j in range(config.clients_per_site)
+    ]
+    for other in range(config.n_sites):
+        if other != index:
+            for ip in _site_hosts(config, other):
+                topology.register_host(dpid, ip, trunk_port)
+
+    replica = connect_state(name)
+    controller = SiteController(
+        env,
+        ServiceRegistry(
+            Annotator(registries.images, registries.behaviors), state=replica
+        ),
+        [cluster],
+        scheduler,
+        topology,
+        replica,
+        config=dataclasses.replace(
+            ControllerConfig.from_calibration(calibration),
+            auto_scale_down=config.auto_scale_down,
+        ),
+        calibration=calibration,
+        recorder=recorder,
+        remote_distance_penalty=config.remote_distance_penalty,
+    )
+    controller.attach(switch, latency_s=config.control_channel_latency_s)
+    controller.conntrack = client_conntrack(clients)
+    manager = MigrationManager(
+        env,
+        name,
+        controller,
+        cluster,
+        egs,
+        {f"site{i}": egs_ip(i) for i in range(config.n_sites)},
+        ledger,
+    )
+
+    # Operational surface.  Listeners and ticks are created here, so a
+    # partition builds them after the fork (pickled hosts drop them).
+    collector = None
+    if config.flow_stats_period_s is not None:
+        collector = FlowStatsCollector(
+            env,
+            name,
+            switch,
+            {f"trunk:{name}": trunk_iface.endpoint.link},
+            state=replica,
+            period_s=config.flow_stats_period_s,
+            recorder=recorder,
+        ).start()
+    ops = OpsReadModel(
+        env,
+        controller,
+        site=name,
+        switches=(switch,),
+        manager=manager,
+        collector=collector,
+    )
+    ops_app = None
+    if config.ops_api:
+        ops_app = OpsApp(ops)
+        egs.open_port(OPS_PORT, ops_app)
+    return Site(
+        name=name,
+        index=index,
+        switch=switch,
+        egs=egs,
+        cluster=cluster,
+        clients=clients,
+        topology=topology,
+        replica=replica,
+        controller=controller,
+        trunk_port=trunk_port,
+        trunk_iface=trunk_iface,
+        manager=manager,
+        collector=collector,
+        ops=ops,
+        ops_app=ops_app,
+    )
+
+
+class FederatedTestbed(BaseTestbed):
+    """*n* sites, *n* controllers, one shared state, one backbone — the
+    builders' sites in one environment, driven from outside."""
 
     def __init__(
         self,
@@ -282,285 +511,82 @@ class FederatedTestbed:
         scheduler_factory: _t.Callable[[], GlobalScheduler] | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
     ) -> None:
-        self.config = config or FederationConfig()
+        self.config = config = config or FederationConfig()
         self.calibration = calibration
-        self.env = Environment()
+        self.env = env = Environment()
         self.recorder = MetricsRecorder()
-        self._ips = IPAllocator("10.0.0.0")
         self._macs = MACAllocator()
         self._service_ips = IPAllocator("203.0.113.0")
         make_scheduler = scheduler_factory or LowLatencyScheduler
 
-        # -- shared state + catalog ---------------------------------------
-        self.hub = SharedStateHub(
-            self.env, propagation_delay_s=self.config.propagation_delay_s
-        )
-        self.public_registry = Registry(self.env, "docker-hub", PUBLIC_PROFILE)
-        self.private_registry = Registry(self.env, "private-lan", PRIVATE_PROFILE)
-        self.images, self.behaviors = build_catalog(calibration)
-        for image in self.images.values():
-            self.public_registry.publish(image)
-            self.private_registry.publish(image)
-        self.active_registry = (
-            self.private_registry
-            if self.config.registry == "private"
-            else self.public_registry
-        )
-        self.annotator = Annotator(self.images, self.behaviors)
+        # Every site pulls from the same registries and plans against
+        # one ledger, so concurrent inbound migrations at different
+        # sites cannot jointly oversubscribe a source trunk.
+        registries = build_registries(env, calibration, config.registry)
+        (
+            self.public_registry,
+            self.private_registry,
+            self.active_registry,
+            self.images,
+            self.behaviors,
+        ) = registries
+        self.ledger = BandwidthLedger(env, config.migration_budget_bps)
+        self.backbone = build_backbone(env, config, self._macs)
+        self.cloud = self.backbone.cloud
 
-        # -- backbone + cloud ---------------------------------------------
-        self.backbone_switch = OpenFlowSwitch(self.env, "backbone", datapath_id=1)
-        self.switches: dict[int, OpenFlowSwitch] = {1: self.backbone_switch}
-        self.backbone_topology = SwitchTopology()
-        self.backbone = BackboneApp(self.env, self.backbone_topology)
-        self.cloud = CloudHost(
-            self.env,
-            "cloud",
-            self._macs.allocate(),
-            IPv4Address.parse("198.51.100.1"),
-        )
-        cloud_port, cloud_iface = self.backbone_switch.add_port(
-            self._macs.allocate()
-        )
-        Link(
-            self.env,
-            self.cloud.iface,
-            cloud_iface,
-            self.config.cloud_link_bandwidth_bps,
-            self.config.cloud_link_latency_s,
-        )
-        self.backbone_topology.set_cloud_port(1, cloud_port)
-
-        # -- sites ---------------------------------------------------------
         self.sites: list[Site] = []
-        self.clusters: list[EdgeCluster] = []
-        self.clients: list[Host] = []
         #: Logical links the fault injector can partition by name pair,
         #: e.g. ``("site0", "shared-state")``.
         self.named_links: dict[tuple[str, str], _t.Any] = {}
-        controller_config = dataclasses.replace(
-            ControllerConfig.from_calibration(calibration),
-            auto_scale_down=self.config.auto_scale_down,
-        )
-        for index in range(self.config.n_sites):
-            self._build_site(index, make_scheduler(), controller_config)
-
-        # Every site knows every remote host through its trunk; the
-        # backbone knows every host through the owning site's port.
-        self._register_cross_site_routes()
-
-        # -- attach controllers (routes install from final topologies) ----
-        self.backbone.attach(
-            self.backbone_switch,
-            latency_s=self.config.control_channel_latency_s,
-        )
-        for site in self.sites:
-            site.controller.attach(
-                site.switch, latency_s=self.config.control_channel_latency_s
+        for index, (_, backbone_iface) in enumerate(self.backbone.ports):
+            site = build_site(
+                env,
+                config,
+                index,
+                registries=registries,
+                recorder=self.recorder,
+                ledger=self.ledger,
+                macs=self._macs,
+                scheduler=make_scheduler(),
+                calibration=calibration,
+                attach_trunk=partial(self._trunk, backbone_iface),
+                connect_state=self.backbone.hub.connect,
             )
-
-        # -- live migration -------------------------------------------------
-        # One shared ledger: every site's planner sees the same trunk
-        # commitments, so concurrent inbound migrations at different
-        # sites cannot jointly oversubscribe a source trunk.
-        self.ledger = BandwidthLedger(
-            self.env,
-            default_capacity_bps=int(
-                self.config.trunk_bandwidth_bps
-                * self.config.migration_budget_fraction
-            ),
-        )
-        peers = {site.name: site.egs.ip for site in self.sites}
-        hosts_by_ip = {client.ip: client for client in self.clients}
-
-        def _conntrack(client_ip, dst_ip, dst_port):
-            # The gNB's connection-tracking view: which source ports of
-            # this client have live (or half-open) conversations with
-            # the service address.  Stood in for by the client host's
-            # own socket table — identical information, zero protocol.
-            host = hosts_by_ip.get(client_ip)
-            return host.tracked_ports(dst_ip, dst_port) if host else ()
-
-        for site in self.sites:
-            site.controller.conntrack = _conntrack
-            site.manager = MigrationManager(
-                self.env,
-                site.name,
-                site.controller,
-                site.cluster,
-                site.egs,
-                peers,
-                self.ledger,
-            )
-
-        # -- operational surface (repro.ops) -------------------------------
-        for site in self.sites:
-            if self.config.flow_stats_period_s is not None:
-                site.collector = FlowStatsCollector(
-                    self.env,
-                    site.name,
-                    site.switch,
-                    {
-                        f"trunk:{site.name}": self.named_links[
-                            (site.name, BACKBONE)
-                        ]
-                    },
-                    state=site.replica,
-                    period_s=self.config.flow_stats_period_s,
-                    recorder=self.recorder,
-                ).start()
-            site.ops = OpsReadModel(
-                self.env,
-                site.controller,
-                site=site.name,
-                switches=(site.switch,),
-                manager=site.manager,
-                collector=site.collector,
-            )
-            if self.config.ops_api:
-                site.ops_app = OpsApp(
-                    site.ops, register=self._site_registrar(site)
+            if site.ops_app is not None:
+                site.ops_app.register = partial(
+                    self._register_template_key, site.controller
                 )
-                site.egs.open_port(OPS_PORT, site.ops_app)
-
-        self._cloud_apps: dict[str, _t.Any] = {}
+            self.named_links[(site.name, BACKBONE)] = site.trunk_iface.endpoint.link
+            self.named_links[(site.name, SHARED_STATE)] = site.replica.link
+            self.sites.append(site)
         self.settle(0.1)
 
-    # -- assembly ----------------------------------------------------------
-
-    def _build_site(
-        self,
-        index: int,
-        scheduler: GlobalScheduler,
-        controller_config: ControllerConfig,
-    ) -> Site:
-        name = f"site{index}"
-        dpid = index + 2  # backbone owns dpid 1
-        switch = OpenFlowSwitch(self.env, f"gnb-{name}", datapath_id=dpid)
-        self.switches[dpid] = switch
-        topology = SwitchTopology()
-
-        # Trunk to the backbone.
-        backbone_port, backbone_iface = self.backbone_switch.add_port(
-            self._macs.allocate()
-        )
-        trunk_port, trunk_iface = switch.add_port(self._macs.allocate())
-        trunk_link = Link(
+    def _trunk(
+        self, backbone_iface: "NetworkInterface", trunk_iface: "NetworkInterface"
+    ) -> Link:
+        return Link(
             self.env,
             trunk_iface,
             backbone_iface,
             self.config.trunk_bandwidth_bps,
             self.config.trunk_latency_s,
         )
-        self.named_links[(name, BACKBONE)] = trunk_link
-        topology.set_cloud_port(dpid, trunk_port)
 
-        # EGS with its own runtime + Docker cluster.
-        egs = Host(
-            self.env, f"{name}-egs", self._macs.allocate(), self._ips.allocate()
-        )
-        self._wire_host(
-            egs,
-            switch,
-            topology,
-            self.config.egs_link_bandwidth_bps,
-            self.config.egs_link_latency_s,
-        )
-        containerd = Containerd(self.env, egs)
-        engine = DockerEngine(self.env, containerd)
-        cluster = DockerCluster(
-            self.env,
-            f"{name}-docker",
-            egs,
-            engine,
-            self.active_registry,
-            distance=0,
-        )
-        self.clusters.append(cluster)
+    # -- views the fault injector and tools resolve targets on ---------------
 
-        clients = []
-        for j in range(self.config.clients_per_site):
-            client = Host(
-                self.env,
-                f"{name}-rpi{j:02d}",
-                self._macs.allocate(),
-                self._ips.allocate(),
-            )
-            self._wire_host(
-                client,
-                switch,
-                topology,
-                self.config.client_link_bandwidth_bps,
-                self.config.client_link_latency_s,
-            )
-            clients.append(client)
-        self.clients.extend(clients)
+    @property
+    def switches(self) -> dict[int, OpenFlowSwitch]:
+        switches = {1: self.backbone.switch}
+        switches.update((s.switch.datapath_id, s.switch) for s in self.sites)
+        return switches
 
-        replica = self.hub.connect(name)
-        registry = ServiceRegistry(self.annotator, state=replica)
-        controller = SiteController(
-            self.env,
-            registry,
-            [cluster],
-            scheduler,
-            topology,
-            replica,
-            config=controller_config,
-            calibration=self.calibration,
-            recorder=self.recorder,
-            remote_distance_penalty=self.config.remote_distance_penalty,
-        )
-        self.named_links[(name, SHARED_STATE)] = replica.link
+    @property
+    def clusters(self) -> list[EdgeCluster]:
+        return [site.cluster for site in self.sites]
 
-        site = Site(
-            name=name,
-            switch=switch,
-            egs=egs,
-            cluster=cluster,
-            clients=clients,
-            topology=topology,
-            registry=registry,
-            replica=replica,
-            controller=controller,
-            trunk_port=trunk_port,
-            backbone_port=backbone_port,
-        )
-        self.sites.append(site)
-        return site
-
-    def _wire_host(
-        self,
-        host: Host,
-        switch: OpenFlowSwitch,
-        topology: SwitchTopology,
-        bandwidth_bps: float,
-        latency_s: float,
-    ) -> int:
-        port_no, iface = switch.add_port(self._macs.allocate())
-        Link(self.env, host.iface, iface, bandwidth_bps, latency_s)
-        topology.register_host(switch.datapath_id, host.ip, port_no)
-        return port_no
-
-    def _register_cross_site_routes(self) -> None:
-        # Snapshot each site's *local* hosts before registering anything
-        # anywhere — remote entries added below would otherwise leak
-        # into later sites' "local" views and misroute the backbone.
-        local = {
-            site.name: list(site.topology.hosts(site.switch.datapath_id))
-            for site in self.sites
-        }
-        for site in self.sites:
-            for ip in local[site.name]:
-                self.backbone_topology.register_host(1, ip, site.backbone_port)
-            for other in self.sites:
-                if other is site:
-                    continue
-                for ip in local[site.name]:
-                    other.topology.register_host(
-                        other.switch.datapath_id, ip, other.trunk_port
-                    )
-
-    # -- conveniences shared with the classic testbed ----------------------
+    @property
+    def clients(self) -> list[Host]:
+        return [client for site in self.sites for client in site.clients]
 
     @property
     def controllers(self) -> list[SiteController]:
@@ -571,10 +597,6 @@ class FederatedTestbed:
         """The first site's controller (single-controller interface for
         tools that expect one, e.g. parts of the fault injector)."""
         return self.sites[0].controller
-
-    def settle(self, duration_s: float = 0.01) -> None:
-        """Advance time so in-flight control traffic lands."""
-        self.env.run(until=self.env.now + duration_s)
 
     def settle_replication(self, margin_s: float = 0.01) -> None:
         """Advance past one full site -> hub -> peers propagation."""
@@ -601,46 +623,12 @@ class FederatedTestbed:
         other site, which installs its intercepts when the write lands;
         by default this blocks until the propagation is done."""
         at = site or self.sites[0]
-        ip = cloud_ip if cloud_ip is not None else self._service_ips.allocate()
-        service = at.controller.register_service(
-            template.definition_yaml, ip, port, template_key=template.key
-        )
-        behavior = self.behaviors.get(template.images[0].reference)
-        factory = behavior.app_factory()
-        if factory is not None:
-            app = factory(self.env)
-            self.cloud.open_service(ip, port, app)
-            self._cloud_apps[service.name] = app
+        service = self._register_catalog(at.controller, template, cloud_ip, port)
         if wait_replication:
             self.settle_replication()
         else:
             self.settle(0.005)
         return service
-
-    def _site_registrar(
-        self, site: Site
-    ) -> _t.Callable[[str], EdgeService]:
-        """``POST /services`` hook for ``site``'s ops API.
-
-        Runs *inside* the simulation, so it must not :meth:`settle` —
-        intercepts install a control hop later, and remote sites see
-        the registration once replication lands."""
-
-        def register(key: str) -> EdgeService:
-            template = template_by_key(key)
-            ip = self._service_ips.allocate()
-            service = site.controller.register_service(
-                template.definition_yaml, ip, 80, template_key=template.key
-            )
-            behavior = self.behaviors.get(template.images[0].reference)
-            factory = behavior.app_factory()
-            if factory is not None:
-                app = factory(self.env)
-                self.cloud.open_service(ip, 80, app)
-                self._cloud_apps[service.name] = app
-            return service
-
-        return register
 
     # -- client mobility ---------------------------------------------------
 
@@ -673,7 +661,8 @@ class FederatedTestbed:
         target.topology.register_host(
             target.switch.datapath_id, client.ip, port_no
         )
-        self.backbone_topology.register_host(1, client.ip, target.backbone_port)
+        backbone_port, _ = self.backbone.ports[target.index]
+        self.backbone.topology.register_host(1, client.ip, backbone_port)
         for site in self.sites:
             if site is not target:
                 site.topology.register_host(
@@ -686,7 +675,7 @@ class FederatedTestbed:
         target.controller.update_client_location(
             client.ip, target.switch.datapath_id, port_no
         )
-        self.backbone.install_host_route(client.ip)
+        self.backbone.app.install_host_route(client.ip)
         self.settle(0.05)
 
     # -- live migration ----------------------------------------------------
@@ -694,53 +683,14 @@ class FederatedTestbed:
     def migrate(
         self,
         service: EdgeService,
-        from_site: "Site",
-        to_site: "Site",
+        from_site: Site,
+        to_site: Site,
         mode: str | None = None,
-    ) -> "MigrationOutcome":
+    ) -> MigrationOutcome:
         """Drive one migration to completion from outside the
         simulation and return its outcome."""
-        assert to_site.manager is not None
         done = to_site.manager.request_migration(
             service.name, from_site.name, mode=mode
         )
         outcome: MigrationOutcome = self.env.run(until=done)
         return outcome
-
-    # -- driving requests --------------------------------------------------
-
-    def http_request(
-        self,
-        client: Host,
-        service: EdgeService,
-        request=None,
-        timeout: float | None = 120.0,
-    ):
-        """One measured request (generator returning HTTPResult)."""
-        template_request = request
-        if template_request is None:
-            from repro.net.packet import HTTPRequest
-
-            template_request = HTTPRequest("GET", "/", body_bytes=0)
-        result = yield from client.http_request(
-            service.cloud_ip, service.port, template_request, timeout=timeout
-        )
-        return result
-
-    def run_request(self, client: Host, service: EdgeService, request=None, timeout=120.0):
-        """Drive one request to completion from outside the simulation."""
-        proc = self.env.process(
-            self.http_request(client, service, request, timeout)
-        )
-        return self.env.run(until=proc)
-
-    # -- deployment-state helpers ------------------------------------------
-
-    def prepare_pulled(self, cluster: EdgeCluster, service: EdgeService) -> None:
-        proc = self.env.process(cluster.pull(service.plan))
-        self.env.run(until=proc)
-
-    def prepare_created(self, cluster: EdgeCluster, service: EdgeService) -> None:
-        self.prepare_pulled(cluster, service)
-        proc = self.env.process(cluster.create(service.plan))
-        self.env.run(until=proc)

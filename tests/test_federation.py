@@ -26,6 +26,7 @@ from repro.net.addressing import IPv4Address
 from repro.services.catalog import NGINX
 from repro.sim import Environment
 from repro.testbed import FederatedTestbed, FederationConfig
+from repro.testbed.federation import client_ip, egs_ip
 
 
 def _record(site="site0", cluster="site0-docker", running=True, port=20000):
@@ -250,6 +251,22 @@ class TestFederatedTestbed:
             return latencies
 
         assert one_run() == one_run()
+
+
+class TestFederationConfig:
+    def test_client_addresses_must_stay_inside_their_site(self):
+        # client_ip(0, 247) would be 10.0.2.1, site1's EGS.
+        FederationConfig(n_sites=2, clients_per_site=245)
+        with pytest.raises(ValueError, match="at most 245"):
+            FederationConfig(n_sites=2, clients_per_site=246)
+
+    def test_sites_use_the_deterministic_addresses(self):
+        tb = _federation(clients_per_site=2)
+        hosts = [(site.egs, site.clients) for site in tb.sites]
+        assert [egs.ip for egs, _ in hosts] == [egs_ip(0), egs_ip(1)]
+        assert [[c.ip for c in clients] for _, clients in hosts] == [
+            [client_ip(site, j) for j in range(2)] for site in range(2)
+        ]
 
 
 @pytest.mark.chaos

@@ -37,14 +37,12 @@ from repro.sim.parallel.partitioner import (
 from repro.sim.parallel.testbed import (
     build_migration_replay,
     build_replay,
-    client_ip,
     combined_fingerprint,
-    egs_ip,
     run_replay,
     service_ip,
     totals,
 )
-from repro.testbed.federation import FederationConfig
+from repro.testbed.federation import FederationConfig, client_ip, egs_ip
 
 
 def _small_replay(n_sites: int, seed: int = 42, **kwargs):
