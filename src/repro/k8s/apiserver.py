@@ -4,6 +4,9 @@ Every CRUD call is a generator that pays ``api_latency_s``; every
 watcher receives ADDED/MODIFIED/DELETED events after
 ``watch_latency_s``, preserving per-watch ordering — the informer
 behaviour the control loops are built on.
+
+Each kind keeps a label index, ``(label, value) -> {key: object}``, so
+a selector list reads one bucket instead of the whole kind.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ import typing as _t
 from repro.k8s.objects import KINDS, ObjectMeta, matches_selector
 from repro.k8s.profile import K8sProfile
 from repro.sim import Environment, Store
+
+#: An object's key, ``(namespace, name)``, and a label pair, ``(label, value)``.
+_Key = tuple[str, str]
+_Pair = tuple[str, str]
 
 
 class NotFound(KeyError):
@@ -55,7 +62,16 @@ class APIServer:
     def __init__(self, env: Environment, profile: K8sProfile | None = None) -> None:
         self.env = env
         self.profile = profile or K8sProfile()
-        self._objects: dict[str, dict[tuple[str, str], _t.Any]] = {
+        self._objects: dict[str, dict[_Key, _t.Any]] = {
+            kind: {} for kind in KINDS
+        }
+        #: Per kind: (label, value) -> {key: object}.
+        self._by_label: dict[str, dict[_Pair, dict[_Key, _t.Any]]] = {
+            kind: {} for kind in KINDS
+        }
+        #: Per kind: key -> the label pairs it is indexed under (a
+        #: snapshot, so an in-place label edit is re-indexed by update).
+        self._indexed: dict[str, dict[_Key, tuple[_Pair, ...]]] = {
             kind: {} for kind in KINDS
         }
         self._watches: dict[str, list[Watch]] = {kind: [] for kind in KINDS}
@@ -121,6 +137,21 @@ class APIServer:
         if watch.active:
             watch.events.put(event)
 
+    def _index(self, kind: str, key: _Key, obj: _t.Any) -> None:
+        """Point the label index of ``key`` at ``obj`` (``None``: drop it)."""
+        buckets = self._by_label[kind]
+        pairs = tuple(obj.metadata.labels.items()) if obj is not None else ()
+        for pair in self._indexed[kind].pop(key, ()):
+            if pair not in pairs:
+                bucket = buckets[pair]
+                del bucket[key]
+                if not bucket:
+                    del buckets[pair]
+        for pair in pairs:
+            buckets.setdefault(pair, {})[key] = obj
+        if obj is not None:
+            self._indexed[kind][key] = pairs
+
     @staticmethod
     def _kind_of(obj: _t.Any) -> str:
         kind = getattr(obj, "kind", None)
@@ -140,6 +171,7 @@ class APIServer:
         obj.metadata.creation_time = self.env.now
         self._bump(obj.metadata)
         self._objects[kind][key] = obj
+        self._index(kind, key, obj)
         self._notify(kind, "ADDED", obj)
         return obj
 
@@ -172,9 +204,17 @@ class APIServer:
         namespace: str | None = "default",
         selector: _t.Mapping[str, str] | None = None,
     ) -> list[_t.Any]:
-        """Synchronous (informer-cache style) list, no API latency."""
+        """Synchronous (informer-cache style) list, no API latency.
+
+        A selector reads only the index bucket of its first pair; the
+        result is the same either way, in uid order.
+        """
+        if selector:
+            candidates = self._by_label[kind].get(next(iter(selector.items())), {})
+        else:
+            candidates = self._objects[kind]
         result = []
-        for (ns, _), obj in self._objects[kind].items():
+        for (ns, _), obj in candidates.items():
             if namespace is not None and ns != namespace:
                 continue
             if selector and not matches_selector(obj.metadata.labels, selector):
@@ -192,6 +232,7 @@ class APIServer:
             raise NotFound(f"{kind} {key}")
         self._bump(obj.metadata)
         self._objects[kind][key] = obj
+        self._index(kind, key, obj)
         self._notify(kind, "MODIFIED", obj)
         return obj
 
@@ -201,6 +242,7 @@ class APIServer:
         obj = self._objects[kind].pop((namespace, name), None)
         if obj is None:
             raise NotFound(f"{kind} {namespace}/{name}")
+        self._index(kind, (namespace, name), None)
         self._notify(kind, "DELETED", obj)
         return obj
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.k8s.apiserver import APIServer, WatchEvent
-from repro.k8s.objects import Pod, Service, matches_selector
+from repro.k8s.apiserver import APIServer
+from repro.k8s.objects import Pod
 from repro.sim import Environment, Store
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,10 +57,9 @@ class KubeProxy:
         self.env = env
         self.api = api
         self.kubelets = kubelets
-        #: (service uid, node name) -> opened node port.
-        self._bound: dict[tuple[str, str], int] = {}
-        #: (service uid, node name) -> the balancer serving that port.
-        self._balancers: dict[tuple[str, str], RoundRobinBalancer] = {}
+        #: (service uid, node name, node port) -> the balancer serving
+        #: that bound port, in binding order.
+        self._balancers: dict[tuple[str, str, int], RoundRobinBalancer] = {}
         self._queue: Store = Store(env)
         env.process(self._watch("Service"), name="kubeproxy-watch-svc")
         env.process(self._watch("Pod"), name="kubeproxy-watch-pod")
@@ -85,54 +84,51 @@ class KubeProxy:
 
     def _reconcile_all(self) -> None:
         services = self.api.list_nowait("Service", namespace=None)
-        pods = self.api.list_nowait("Pod", namespace=None)
-        desired: dict[tuple[str, str], tuple[int, list[_t.Any]]] = {}
+        desired: dict[tuple[str, str, int], list[_t.Any]] = {}
 
         for service in services:
+            pods: list[Pod] | None = None
             for port in service.spec.ports:
                 if port.node_port is None:
                     continue
-                for node_name, apps in self._backends(
-                    service, port.target_port, pods
-                ).items():
-                    desired[(service.metadata.uid, node_name)] = (
-                        port.node_port,
-                        apps,
+                if pods is None:
+                    pods = self.api.list_nowait(
+                        "Pod", None, selector=service.spec.selector
                     )
+                for node_name, apps in self._backends(port.target_port, pods).items():
+                    desired[(service.metadata.uid, node_name, port.node_port)] = apps
 
         # Close bindings that lost their backends or services.
-        for key in list(self._bound):
-            if key not in desired:
-                node_port = self._bound.pop(key)
-                self._balancers.pop(key, None)
-                kubelet = self.kubelets.get(key[1])
-                if kubelet is not None and kubelet.node_host.port_is_open(node_port):
-                    kubelet.node_host.close_port(node_port)
+        for key in [key for key in self._balancers if key not in desired]:
+            del self._balancers[key]
+            node_port = key[2]
+            kubelet = self.kubelets.get(key[1])
+            if kubelet is not None and kubelet.node_host.port_is_open(node_port):
+                kubelet.node_host.close_port(node_port)
 
         # Open new bindings / refresh backend sets.
-        for key, (node_port, apps) in desired.items():
+        for key, apps in desired.items():
+            node_port = key[2]
             kubelet = self.kubelets.get(key[1])
             if kubelet is None:
                 continue
             balancer = self._balancers.get(key)
-            if balancer is None:
+            bind = balancer is None
+            if bind:
                 balancer = RoundRobinBalancer()
                 self._balancers[key] = balancer
             balancer.set_backends(apps)
-            if key not in self._bound:
-                if not kubelet.node_host.port_is_open(node_port):
-                    kubelet.node_host.open_port(node_port, balancer)
-                self._bound[key] = node_port
+            if bind and not kubelet.node_host.port_is_open(node_port):
+                kubelet.node_host.open_port(node_port, balancer)
 
     def _backends(
-        self, service: Service, target_port: int, pods: _t.Sequence[Pod]
+        self, target_port: int, pods: _t.Sequence[Pod]
     ) -> dict[str, list[_t.Any]]:
-        """Ready backend apps per node, in pod-uid order."""
+        """Ready backend apps per node among a Service's selected
+        ``pods``, in pod-uid order."""
         result: dict[str, list[_t.Any]] = {}
         for pod in pods:
             if not pod.status.ready or pod.spec.node_name is None:
-                continue
-            if not matches_selector(pod.metadata.labels, service.spec.selector):
                 continue
             kubelet = self.kubelets.get(pod.spec.node_name)
             if kubelet is None:

@@ -11,7 +11,11 @@ compare fingerprints exactly:
 * ``BENCH_PR8.json``: the full-testbed replay on the sharded kernel's
   serial executor at 1, 2, 4 and 8 sites — latency md5 and rounds;
 * a small migration-heavy replay at 2 sites — combined latency and
-  migration md5s, pinned below.
+  migration md5s, pinned below;
+* a bigFlows replay on the Kubernetes cluster with idle scale-down, so
+  Pull/Create/Scale Up run through the API server, controllers, kubelet
+  and kube-proxy on every cold start — latency md5 and counts, pinned
+  below.
 
 The recorded files are read, never written.
 """
@@ -28,12 +32,15 @@ from benchmarks.perf.harness import (
     run_federation_benchmark,
     run_testbed_benchmark,
 )
+from repro.services.catalog import NGINX
 from repro.sim.parallel.testbed import (
     build_migration_replay,
     combined_fingerprint,
     run_replay,
 )
+from repro.testbed import C3Testbed, TestbedConfig
 from repro.testbed.federation import FederationConfig
+from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -50,6 +57,13 @@ MIGRATION_REPLAY = (
     "8e7533a0e0513e069c52f57e57d2797e",
     [1, 1],
 )
+
+#: 30 NGINX services created on the k8s cluster, then
+#: ``generate_trace(BigFlowsParams(n_services=30, n_requests=1000,
+#: duration_s=600), seed=42)`` with idle scale-down: md5 over
+#: ``time_total``, events of the replay, deployments, idle scale-downs,
+#: failed requests, and API server requests and watch events.
+K8S_REPLAY = ("5c186e3b6852edac4f5a8c37210492b0", 53335, 75, 55, 0, 2124, 1616)
 
 
 def _report(name: str) -> dict:
@@ -109,3 +123,36 @@ def test_migration_replay_fingerprints_pinned():
         migration.hexdigest(),
         [results[f"site{site}"]["migrations_completed"] for site in range(2)],
     ) == MIGRATION_REPLAY
+
+
+def test_k8s_deploy_churn_replay_pinned():
+    tb = C3Testbed(TestbedConfig(cluster_types=("k8s",), auto_scale_down=True))
+    services = [tb.register_template(NGINX) for _ in range(30)]
+    for service in services:
+        tb.prepare_created(tb.k8s_cluster, service)
+    tb.settle(1.0)
+    trace = generate_trace(
+        BigFlowsParams(n_services=30, n_requests=1000, duration_s=600), seed=42
+    )
+    driver = TraceDriver(
+        tb.env,
+        tb.clients,
+        services,
+        requests={s.name: NGINX.request for s in services},
+        recorder=tb.recorder,
+    )
+    events_before = tb.env.events_processed
+    summary = driver.run(trace)
+    digest = hashlib.md5()
+    for sample in summary.samples:
+        digest.update(f"{sample.time_total:.17g}\n".encode("ascii"))
+    api = tb.kubernetes.api.stats
+    assert (
+        digest.hexdigest(),
+        tb.env.events_processed - events_before,
+        len(tb.recorder.series("deployments")),
+        tb.controller.stats["scale_downs"],
+        sum(1 for sample in summary.samples if not sample.ok),
+        api["requests"],
+        api["events"],
+    ) == K8S_REPLAY

@@ -297,6 +297,53 @@ class TestControlPlane:
         assert env.run(until=proc) is True
         assert cluster.api.list_nowait("Pod") == []
 
+    def test_multi_port_service_binds_every_node_port(self):
+        env = Environment()
+        cluster, registry, nodes = _cluster(env)
+        host, runtime = nodes[0]
+        image_a = _image("a:1")
+        image_b = _image("b:1")
+        for img in (image_a, image_b):
+            registry.publish(img)
+        containers = [
+            ContainerDef(
+                name=name,
+                image=img,
+                container_port=port,
+                boot_time_s=0.05,
+                app_factory=lambda e: EchoApp(e),
+            )
+            for name, img, port in (("web", image_a, 80), ("admin", image_b, 8080))
+        ]
+        labels = {"edge.service": "multi"}
+        service = Service(
+            metadata=ObjectMeta(name="multi", labels=dict(labels)),
+            spec=ServiceSpec(
+                selector=dict(labels),
+                ports=[
+                    ServicePort(port=80, target_port=80, node_port=30080),
+                    ServicePort(port=8080, target_port=8080, node_port=30081),
+                ],
+            ),
+        )
+        client = KubernetesClient(cluster.api)
+
+        def go(env):
+            yield from client.create_deployment(
+                _deployment("multi", image_a, labels=labels, containers=containers)
+            )
+            yield from client.create_service(service)
+            yield env.timeout(2.0)
+            yield from client.scale_deployment("multi", 1)
+            yield env.timeout(15.0)
+            opened = (host.port_is_open(30080), host.port_is_open(30081))
+            yield from client.scale_deployment("multi", 0)
+            yield env.timeout(15.0)
+            return opened, (host.port_is_open(30080), host.port_is_open(30081))
+
+        proc = env.process(go(env))
+        assert env.run(until=proc) == ((True, True), (False, False))
+
     def test_delete_deployment_cascades(self):
         env = Environment()
         cluster, registry, nodes = _cluster(env)
